@@ -1,7 +1,7 @@
 //! Micro-benchmarks backing the paper's per-operation claims: page
 //! comparison cost, jhash vs ECC key generation (§3.3), red-black tree
 //! search (§2.1), Scan-Table batch processing (Table 5), DRAM service,
-//! and cache-hierarchy access.
+//! cache-hierarchy access, and the RNG fill behind image synthesis.
 //!
 //! Uses a small hand-rolled harness (the build environment has no
 //! crates.io access for Criterion): each benchmark is auto-calibrated to
@@ -20,6 +20,8 @@ use pageforge_ksm::{jhash2, page_checksum};
 use pageforge_mem::{Dram, DramConfig};
 use pageforge_types::{Gfn, LineAddr, PageData, VmId};
 use pageforge_vm::HostMemory;
+use rand::rngs::SmallRng;
+use rand::{RngCore, SeedableRng};
 
 const SAMPLES: usize = 15;
 const TARGET_SAMPLE_NANOS: u128 = 20_000_000;
@@ -105,6 +107,18 @@ fn bench_ecc_codec() {
     bench("ecc_codec", "encode_line", || {
         black_box(LineEcc::encode(black_box(&line)));
     });
+    // The engine's key snatch: word 0's code only.
+    bench("ecc_codec", "minikey_of", || {
+        black_box(LineEcc::minikey_of(black_box(&line)));
+    });
+}
+
+fn bench_rng() {
+    let mut rng = SmallRng::seed_from_u64(0x5EED);
+    let mut page = PageData::zeroed();
+    bench("rng", "fill_page_4k", || {
+        rng.fill_bytes(black_box(page.as_bytes_mut()));
+    });
 }
 
 fn bench_rbtree() {
@@ -173,6 +187,7 @@ fn main() {
     bench_page_compare();
     bench_hash_keys();
     bench_ecc_codec();
+    bench_rng();
     bench_rbtree();
     bench_scan_table();
     bench_memory_system();

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use pageforge_ecc::{EccCode, EccKeyConfig, EccKeyConfigError, KeyBuilder, LineEcc};
+use pageforge_ecc::{EccKeyConfig, EccKeyConfigError, KeyBuilder, LineEcc};
 use pageforge_faults::FaultInjector;
 use pageforge_obs::trace_event;
 use pageforge_obs::{CounterId, HistogramId, Registry};
@@ -512,15 +512,14 @@ impl PageForgeEngine {
 
     fn observe_candidate_line(&mut self, cand: &PageData, line: usize, now: Cycle) {
         if self.cfg.ecc.offsets().contains(&line) {
-            let mut ecc = LineEcc::encode(cand.line(line));
+            // The minikey is word 0's code, so only word 0 is encoded.
+            let mut minikey = LineEcc::minikey_of(cand.line(line));
             // A scheduled key fault corrupts the snatched minikey — the
             // hash hint lies, exactly the case §3.3 says must stay safe.
             if let Some(f) = self.faults.as_mut() {
-                if let Some(word0) = ecc.0.first_mut() {
-                    *word0 = EccCode(f.filter_minikey(now, word0.0));
-                }
+                minikey = f.filter_minikey(now, minikey);
             }
-            self.key.observe(line, ecc);
+            self.key.observe_minikey(line, minikey);
         }
     }
 }

@@ -51,6 +51,35 @@ const fn build_pos_to_data() -> [u8; 72] {
 
 const POS_TO_DATA: [u8; 72] = build_pos_to_data();
 
+/// `ENCODE_TABLE[k][b]` is the full 8-bit code of the word whose byte `k`
+/// is `b` and whose other bytes are zero. Check bits and overall parity
+/// are both linear over GF(2), so the code of any word is the XOR of the
+/// entries for its eight bytes.
+const fn build_encode_table() -> [[u8; 256]; 8] {
+    let mut table = [[0u8; 256]; 8];
+    let mut k = 0usize;
+    while k < 8 {
+        let mut b = 0usize;
+        while b < 256 {
+            let mut check = 0u8;
+            let mut i = 0usize;
+            while i < 8 {
+                if b & (1 << i) != 0 {
+                    check ^= COLUMNS[k * 8 + i];
+                }
+                i += 1;
+            }
+            let parity = ((b as u32).count_ones() + check.count_ones()) & 1;
+            table[k][b] = check | ((parity as u8) << 7);
+            b += 1;
+        }
+        k += 1;
+    }
+    table
+}
+
+const ENCODE_TABLE: [[u8; 256]; 8] = build_encode_table();
+
 /// The 8 stored ECC bits of one 64-bit word: 7 Hamming check bits (low bits)
 /// plus the overall parity bit (bit 7).
 ///
@@ -138,22 +167,6 @@ impl Decoded {
 pub struct Secded72;
 
 impl Secded72 {
-    /// Computes the 7 Hamming check bits of `data`.
-    fn hamming_bits(data: u64) -> u8 {
-        let mut syndrome = 0u8;
-        let mut d = data;
-        let mut i = 0usize;
-        while d != 0 {
-            let tz = d.trailing_zeros() as usize;
-            i += tz;
-            syndrome ^= COLUMNS[i];
-            d >>= tz;
-            d >>= 1;
-            i += 1;
-        }
-        syndrome
-    }
-
     /// Encodes a 64-bit word into its 8-bit ECC code.
     ///
     /// ```
@@ -162,10 +175,11 @@ impl Secded72 {
     /// assert_eq!(u8::from(c), 0); // all-zero word has all-zero code
     /// ```
     pub fn encode(data: u64) -> EccCode {
-        let check = Self::hamming_bits(data);
-        // Overall parity covers data bits and check bits.
-        let parity = (data.count_ones() + check.count_ones()) & 1;
-        EccCode(check | ((parity as u8) << 7))
+        let mut code = 0u8;
+        for (row, &byte) in ENCODE_TABLE.iter().zip(data.to_le_bytes().iter()) {
+            code ^= row[usize::from(byte)];
+        }
+        EccCode(code)
     }
 
     /// Decodes a received (data, code) pair, correcting a single-bit error
@@ -247,6 +261,18 @@ impl LineEcc {
         self.0[0].0
     }
 
+    /// The minikey of a 64-byte line without encoding the other seven
+    /// words: equal to `LineEcc::encode(line).minikey()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line.len() != 64`.
+    pub fn minikey_of(line: &[u8]) -> u8 {
+        assert_eq!(line.len(), LINE_SIZE, "a cache line is {LINE_SIZE} bytes");
+        let word0 = u64::from_le_bytes(line[..8].try_into().expect("8 bytes"));
+        Secded72::encode(word0).0
+    }
+
     /// The ECC bytes as stored in the spare DRAM chip.
     pub fn as_bytes(self) -> [u8; WORDS_PER_LINE] {
         let mut out = [0u8; WORDS_PER_LINE];
@@ -266,6 +292,72 @@ impl fmt::Debug for LineEcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// The bit-serial reference encoder: XOR the syndrome column of every
+    /// set data bit, then add the overall parity bit.
+    fn encode_bit_serial(data: u64) -> EccCode {
+        let mut syndrome = 0u8;
+        let mut d = data;
+        let mut i = 0usize;
+        while d != 0 {
+            let tz = d.trailing_zeros() as usize;
+            i += tz;
+            syndrome ^= COLUMNS[i];
+            d >>= tz;
+            d >>= 1;
+            i += 1;
+        }
+        let parity = (data.count_ones() + syndrome.count_ones()) & 1;
+        EccCode(syndrome | ((parity as u8) << 7))
+    }
+
+    #[test]
+    fn encode_matches_bit_serial_oracle() {
+        assert_eq!(Secded72::encode(0), encode_bit_serial(0));
+        for a in 0..64 {
+            let one = 1u64 << a;
+            assert_eq!(Secded72::encode(one), encode_bit_serial(one), "bit {a}");
+        }
+        let mut pairs = 0;
+        for a in 0..64 {
+            for b in (a + 1)..64 {
+                let two = (1u64 << a) | (1u64 << b);
+                assert_eq!(
+                    Secded72::encode(two),
+                    encode_bit_serial(two),
+                    "bits {a},{b}"
+                );
+                pairs += 1;
+            }
+        }
+        assert_eq!(pairs, 2016);
+        // Miri interprets every instruction; a smaller draw keeps that leg
+        // to seconds while native runs cover the full 100k.
+        let draws = if cfg!(miri) { 1_000 } else { 100_000 };
+        let mut rng = SmallRng::seed_from_u64(0x5EC_DED);
+        for _ in 0..draws {
+            let data: u64 = rng.gen();
+            assert_eq!(Secded72::encode(data), encode_bit_serial(data), "{data:#x}");
+        }
+    }
+
+    #[test]
+    fn minikey_of_matches_full_line_encode() {
+        let mut rng = SmallRng::seed_from_u64(0x4D1_4E1);
+        let mut line = [0u8; LINE_SIZE];
+        for _ in 0..1_000 {
+            rng.fill_bytes(&mut line);
+            assert_eq!(LineEcc::minikey_of(&line), LineEcc::encode(&line).minikey());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cache line")]
+    fn minikey_of_wrong_length_panics() {
+        let _ = LineEcc::minikey_of(&[0u8; 32]);
+    }
 
     #[test]
     fn columns_are_nonpowers_in_range() {

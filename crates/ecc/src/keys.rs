@@ -17,6 +17,9 @@ use crate::hamming::LineEcc;
 /// Number of minikeys (and page sections) in the paper's configuration.
 pub const DEFAULT_MINIKEYS: usize = 4;
 
+/// Most minikeys one key holds: 8 × 8 bits fill the 64-bit key.
+const MAX_MINIKEYS: usize = 8;
+
 /// A page hash key assembled from ECC minikeys.
 ///
 /// The paper's key is 32 bits (4 minikeys × 8 bits, Table 2); wider
@@ -103,7 +106,7 @@ impl EccKeyConfig {
         if offsets.is_empty() {
             return Err(EccKeyConfigError::Empty);
         }
-        if offsets.len() > 8 {
+        if offsets.len() > MAX_MINIKEYS {
             return Err(EccKeyConfigError::TooMany(offsets.len()));
         }
         let mut seen = [false; LINES_PER_PAGE];
@@ -159,18 +162,25 @@ impl EccKeyConfig {
     pub fn page_key(&self, page: &PageData) -> EccHashKey {
         let mut key = 0u64;
         for (i, &line) in self.offsets.iter().enumerate() {
-            let minikey = LineEcc::encode(page.line(line)).minikey();
+            let minikey = LineEcc::minikey_of(page.line(line));
             key |= u64::from(minikey) << (8 * i);
         }
         EccHashKey(key)
     }
 
     /// Starts an incremental, out-of-order key assembly. The builder owns a
-    /// copy of the configuration so it can live inside hardware state (the
-    /// PageForge module keeps it across Scan Table refills).
+    /// copy of the offsets so it can live inside hardware state (the
+    /// PageForge module keeps it across Scan Table refills); the copy is a
+    /// fixed array, so starting a key never allocates.
     pub fn builder(&self) -> KeyBuilder {
+        let mut offsets = [0u8; MAX_MINIKEYS];
+        for (slot, &off) in offsets.iter_mut().zip(&self.offsets) {
+            // Validated < LINES_PER_PAGE (64), so the narrowing is exact.
+            *slot = off as u8;
+        }
         KeyBuilder {
-            cfg: self.clone(),
+            offsets,
+            len: self.offsets.len() as u8,
             key: 0,
             filled: 0,
         }
@@ -208,10 +218,13 @@ impl Default for EccKeyConfig {
 /// }
 /// assert_eq!(b.finish(), Some(cfg.page_key(&page)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct KeyBuilder {
-    cfg: EccKeyConfig,
+    /// Line offsets in minikey order; only the first `len` are in use.
+    offsets: [u8; MAX_MINIKEYS],
+    len: u8,
     key: u64,
+    /// Bit `i` is set once minikey `i` has been observed.
     filled: u8,
 }
 
@@ -221,10 +234,16 @@ impl KeyBuilder {
     /// minikey (the content may have changed in between — last write wins,
     /// matching hardware behaviour).
     pub fn observe(&mut self, line_index: usize, ecc: LineEcc) {
-        for (i, &off) in self.cfg.offsets.iter().enumerate() {
-            if off == line_index {
+        self.observe_minikey(line_index, ecc.minikey());
+    }
+
+    /// [`Self::observe`] given only the line's minikey (see
+    /// [`LineEcc::minikey_of`]), the one code byte the key keeps.
+    pub fn observe_minikey(&mut self, line_index: usize, minikey: u8) {
+        for i in 0..usize::from(self.len) {
+            if usize::from(self.offsets[i]) == line_index {
                 let shift = 8 * i;
-                self.key = (self.key & !(0xFFu64 << shift)) | (u64::from(ecc.minikey()) << shift);
+                self.key = (self.key & !(0xFFu64 << shift)) | (u64::from(minikey) << shift);
                 self.filled |= 1 << i;
             }
         }
@@ -232,28 +251,25 @@ impl KeyBuilder {
 
     /// Whether a given line index is one this builder still needs.
     pub fn wants(&self, line_index: usize) -> bool {
-        self.cfg
-            .offsets
+        self.offsets[..usize::from(self.len)]
             .iter()
             .enumerate()
-            .any(|(i, &off)| off == line_index && self.filled & (1 << i) == 0)
+            .any(|(i, &off)| usize::from(off) == line_index && self.filled & (1 << i) == 0)
     }
 
     /// `true` once every configured offset has been observed.
     pub fn is_complete(&self) -> bool {
-        self.filled == (1u8 << self.cfg.offsets.len()).wrapping_sub(1)
-            || self.filled.count_ones() == self.cfg.offsets.len() as u32
+        self.filled.count_ones() == u32::from(self.len)
     }
 
     /// Line offsets that have not been observed yet, in minikey order.
-    pub fn missing(&self) -> Vec<usize> {
-        self.cfg
-            .offsets
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.filled & (1 << i) == 0)
-            .map(|(_, &off)| off)
-            .collect()
+    /// The iterator works on a snapshot of the builder, so the builder can
+    /// be fed while the iterator is being consumed.
+    pub fn missing(&self) -> impl Iterator<Item = usize> {
+        let snapshot = *self;
+        (0..usize::from(snapshot.len))
+            .filter(move |&i| snapshot.filled & (1 << i) == 0)
+            .map(move |i| usize::from(snapshot.offsets[i]))
     }
 
     /// Returns the key if complete, else `None`.
@@ -361,7 +377,7 @@ mod tests {
         b.observe(0, LineEcc::encode(page.line(0)));
         b.observe(63, LineEcc::encode(page.line(63)));
         assert!(!b.is_complete());
-        assert_eq!(b.missing(), cfg.offsets().to_vec());
+        assert_eq!(b.missing().collect::<Vec<_>>(), cfg.offsets().to_vec());
     }
 
     #[test]
@@ -375,6 +391,36 @@ mod tests {
         b.observe(0, LineEcc::encode(old.line(0)));
         b.observe(0, LineEcc::encode(new.line(0)));
         assert_eq!(b.finish(), Some(cfg.page_key(&new)));
+    }
+
+    #[test]
+    fn eight_offset_builder_completes() {
+        // A full 64-bit key: every `filled` bit is in use.
+        let cfg = EccKeyConfig::with_offsets(vec![0, 8, 16, 24, 32, 40, 48, 56]).expect("valid");
+        let page = PageData::from_fn(|i| (i * 7 % 253) as u8);
+        let mut b = cfg.builder();
+        for &off in cfg.offsets() {
+            assert!(!b.is_complete());
+            b.observe(off, LineEcc::encode(page.line(off)));
+        }
+        assert!(b.is_complete());
+        assert_eq!(b.missing().count(), 0);
+        assert_eq!(b.finish(), Some(cfg.page_key(&page)));
+    }
+
+    #[test]
+    fn missing_is_a_snapshot() {
+        let cfg = EccKeyConfig::default();
+        let page = PageData::zeroed();
+        let mut b = cfg.builder();
+        b.observe(19, LineEcc::encode(page.line(19)));
+        let mut seen = Vec::new();
+        for off in b.missing() {
+            b.observe_minikey(off, LineEcc::minikey_of(page.line(off)));
+            seen.push(off);
+        }
+        assert_eq!(seen, vec![3, 35, 51]);
+        assert_eq!(b.finish(), Some(cfg.page_key(&page)));
     }
 
     #[test]
