@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use pageforge_bench::scheduler::RunTiming;
+use pageforge_bench::scheduler::{RunTiming, ShardTiming};
 use pageforge_bench::trace_report::TraceAttribution;
 use pageforge_bench::{BenchArgs, Table};
 use pageforge_types::json::{self, FromJson};
@@ -82,8 +82,8 @@ fn timing_section(dir: &Path) -> Option<String> {
     Some(out)
 }
 
-/// Renders the `shard_scaling` wall-clock rows: each executor
-/// configuration's run time plus its speedup over the first (reference)
+/// Renders the `shard_scaling` wall-clock rows: each shard level's
+/// set-up and event-loop time plus its speedup over the first (1-shard)
 /// row. The table contents in `shard_scaling.json` are deterministic by
 /// construction; the seconds live only here, in `meta/timing.json`.
 fn shard_scaling_section(timing: &RunTiming) -> String {
@@ -91,43 +91,30 @@ fn shard_scaling_section(timing: &RunTiming) -> String {
     let Some(reference) = rows.first() else {
         return String::new();
     };
+    let total = |r: &ShardTiming| r.setup_secs + r.run_secs;
     let mut out = String::from("### Shard scaling (executor wall-clock)\n\n");
     let _ = writeln!(
         out,
         "All configurations produced bit-identical results (asserted \
-         in-run); speedups are relative to `{}` at {} shard(s).\n",
-        reference.label, reference.shards,
+         in-run). Every row builds its system from scratch: set-up is \
+         `System::with_shards` (image synthesis, mapping, premerge), run \
+         is the event loop. Speedups are relative to {} shard(s).\n",
+        reference.shards,
     );
-    out.push_str("| Configuration | Shards | Wall-clock (s) | Speedup |\n|---|---|---|---|\n");
+    out.push_str(
+        "| Shards | Set-up (s) | Run (s) | Total (s) | Speedup |\n\
+         |---|---|---|---|---|\n",
+    );
     for row in rows {
         let _ = writeln!(
             out,
-            "| {} | {} | {:.2} | {:.2}x |",
-            row.label,
+            "| {} | {:.2} | {:.2} | {:.2} | {:.2}x |",
             row.shards,
-            row.secs,
-            reference.secs / row.secs,
+            row.setup_secs,
+            row.run_secs,
+            total(row),
+            total(reference) / total(row),
         );
-    }
-    if let Some(two) = rows.iter().find(|r| r.shards == 2 && r.secs > 0.0) {
-        let _ = writeln!(
-            out,
-            "\nSpeedup at 2 shards over the reference executor: {:.2}x.",
-            reference.secs / two.secs,
-        );
-    }
-    for shards in [2usize, 4] {
-        let spec = rows
-            .iter()
-            .find(|r| r.label.starts_with("speculative") && r.shards == shards && r.secs > 0.0);
-        if let Some(spec) = spec {
-            let _ = writeln!(
-                out,
-                "Speculative executor at {} shards over the reference executor: {:.2}x.",
-                shards,
-                reference.secs / spec.secs,
-            );
-        }
     }
     out.push('\n');
     out

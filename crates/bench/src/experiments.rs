@@ -391,7 +391,7 @@ pub fn run_suite_cell_sharded(
     scale: Scale,
     shards: usize,
 ) -> SimResult {
-    run_suite_cell_tuned(app, mode, seed, scale, shards, false, None, None)
+    run_suite_cell_tuned(app, mode, seed, scale, shards, None)
 }
 
 /// Runs one cell with a fault plan installed. Only PageForge cells have an
@@ -404,30 +404,22 @@ pub fn run_suite_cell_faulted(
     shards: usize,
     plan: &FaultPlan,
 ) -> SimResult {
-    run_suite_cell_tuned(app, mode, seed, scale, shards, false, None, Some(plan))
+    run_suite_cell_tuned(app, mode, seed, scale, shards, Some(plan))
 }
 
-/// The fully-tuned cell runner behind every latency-suite entry point:
-/// shard count, speculative execution (`--speculate`), epoch length
-/// (`--epoch-cycles`), and an optional fault plan. None of the executor
-/// knobs may move a result byte — only the fault plan changes outcomes,
-/// and only for PageForge cells (the others have no engine to fault).
-#[allow(clippy::too_many_arguments)]
+/// The cell runner behind every latency-suite entry point: shard count
+/// and an optional fault plan. The shard count never moves a result
+/// byte — only the fault plan changes outcomes, and only for PageForge
+/// cells (the others have no engine to fault).
 pub fn run_suite_cell_tuned(
     app: &str,
     mode: DedupMode,
     seed: u64,
     scale: Scale,
     shards: usize,
-    speculate: bool,
-    epoch_cycles: Option<u64>,
     plan: Option<&FaultPlan>,
 ) -> SimResult {
     let mut cfg = sim_config(app, mode, seed, scale);
-    cfg.speculate = speculate;
-    if let Some(cycles) = epoch_cycles {
-        cfg.epoch_cycles = cycles;
-    }
     if let (Some(plan), DedupMode::PageForge(_)) = (plan, &cfg.dedup) {
         cfg.faults = Some(plan.clone());
     }
@@ -495,27 +487,14 @@ pub fn write_suite_cache(
 // ---------------------------------------------------------------------
 
 /// The `shard_scaling` experiment: the heaviest latency-suite cell
-/// (silo under PageForge) run under seven executor configurations —
-/// the legacy exhaustive-refill-probe executor, the sharded executor
-/// at 1, 2, and 4 worker threads, then the speculative executor at the
-/// same three shard levels. Every configuration must produce a
-/// bit-identical [`SimResult`] (the run panics otherwise), so the
-/// returned [`Table`] is deterministic; the wall-clock seconds go into
-/// the separate [`ShardTiming`] rows, which land in `meta/timing.json`
-/// outside the `results/*.json` determinism glob.
+/// (silo under PageForge) run at 1, 2, and 4 worker threads. Every
+/// level must produce a bit-identical [`SimResult`] (the run panics
+/// otherwise), so the returned [`Table`] is deterministic; the
+/// wall-clock seconds go into the separate [`ShardTiming`] rows, which
+/// land in `meta/timing.json` outside the `results/*.json` determinism
+/// glob. Every repetition builds its system from scratch, and set-up
+/// (`System::with_shards`) is timed apart from the event loop (`run`).
 pub fn shard_scaling(seed: u64, scale: Scale) -> (Table, Vec<ShardTiming>) {
-    // (label, exhaustive_refill_probe, speculate, shards). Run order
-    // matters: the first row is the reference executor the speedup is
-    // quoted against.
-    let configs: [(&str, bool, bool, usize); 7] = [
-        ("legacy executor (exhaustive refill probe)", true, false, 1),
-        ("sharded executor", false, false, 1),
-        ("sharded executor", false, false, 2),
-        ("sharded executor", false, false, 4),
-        ("speculative executor", false, true, 1),
-        ("speculative executor", false, true, 2),
-        ("speculative executor", false, true, 4),
-    ];
     let app = "silo";
     let mut table = Table::new(
         "Shard scaling: executor configurations, byte-identity check (silo, PageForge)",
@@ -528,52 +507,53 @@ pub fn shard_scaling(seed: u64, scale: Scale) -> (Table, Vec<ShardTiming>) {
         ],
     );
     // Wall-clock on a shared machine is noisy; run every configuration
-    // twice and keep the faster repetition (the standard minimum-of-N
-    // estimator). Every repetition's result must match the reference
-    // byte-for-byte, so the extra runs double as determinism coverage.
+    // twice and keep the faster repetition of each phase (the standard
+    // minimum-of-N estimator). Every repetition's result must match the
+    // reference byte-for-byte, so the extra runs double as determinism
+    // coverage.
     const REPS: usize = 2;
     let mut timing = Vec::new();
     let mut reference: Option<String> = None;
-    for (label, exhaustive, speculate, shards) in configs {
-        let mut secs = f64::INFINITY;
+    for shards in [1, 2, 4] {
+        let mut setup_secs = f64::INFINITY;
+        let mut run_secs = f64::INFINITY;
         let mut result = None;
         for _ in 0..REPS {
-            let mut cfg = sim_config(
+            let cfg = sim_config(
                 app,
                 DedupMode::PageForge(SimConfig::scaled_pageforge()),
                 seed,
                 scale,
             );
-            if let DedupMode::PageForge(pf) = &mut cfg.dedup {
-                pf.exhaustive_refill_probe = exhaustive;
-            }
-            cfg.speculate = speculate;
             let start = std::time::Instant::now();
-            let rep = System::with_shards(cfg, shards).run();
-            secs = secs.min(start.elapsed().as_secs_f64());
+            let system = System::with_shards(cfg, shards);
+            let built = std::time::Instant::now();
+            let rep = system.run();
+            setup_secs = setup_secs.min((built - start).as_secs_f64());
+            run_secs = run_secs.min(built.elapsed().as_secs_f64());
             let encoded = rep.to_json().to_string_compact();
             match &reference {
                 None => reference = Some(encoded),
                 Some(want) => assert!(
                     *want == encoded,
-                    "shard_scaling: `{label}` at {shards} shard(s) diverged \
-                     from the reference executor's result"
+                    "shard_scaling: {shards} shard(s) diverged from the \
+                     1-shard result"
                 ),
             }
             result = Some(rep);
         }
         let result = result.expect("at least one repetition ran");
         table.row(vec![
-            label.to_owned(),
+            "sharded executor".to_owned(),
             shards.to_string(),
             format!("{:.1}", result.mean_sojourn()),
             result.mem_stats.merges.to_string(),
             "yes".to_owned(),
         ]);
         timing.push(ShardTiming {
-            label: label.to_owned(),
             shards,
-            secs,
+            setup_secs,
+            run_secs,
         });
     }
     (table, timing)

@@ -343,17 +343,18 @@ pub struct ExperimentTiming {
 }
 
 /// One timed configuration of the `shard_scaling` experiment: the same
-/// simulation cell under a named executor/thread-count combination.
-/// Wall-clock lives here (under `results/meta/`) and in REPORT.md, never
-/// in the byte-identical result tables.
+/// simulation cell at one thread count. Wall-clock lives here (under
+/// `results/meta/`) and in REPORT.md, never in the byte-identical result
+/// tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardTiming {
-    /// Configuration label (e.g. `"sharded executor"`).
-    pub label: String,
     /// `--shards` level the cell ran at.
     pub shards: usize,
-    /// Wall-clock seconds for the cell.
-    pub secs: f64,
+    /// Wall-clock seconds to build the system (`System::with_shards`:
+    /// image synthesis, mapping and premerge).
+    pub setup_secs: f64,
+    /// Wall-clock seconds of the event loop (`System::run`).
+    pub run_secs: f64,
 }
 
 /// Timing record for a whole scheduled run. Written by `run_all` to
@@ -371,8 +372,8 @@ pub struct RunTiming {
     /// Per-experiment busy time, in first-submission order.
     pub experiments: Vec<ExperimentTiming>,
     /// Per-configuration wall-clock of the `shard_scaling` experiment,
-    /// in run order (first row is the reference executor). Empty when
-    /// the experiment was not part of the run.
+    /// in run order (first row is the 1-shard reference). Empty when the
+    /// experiment was not part of the run.
     pub shard_scaling: Vec<ShardTiming>,
 }
 
@@ -479,9 +480,9 @@ impl FromJson for ExperimentTiming {
 impl ToJson for ShardTiming {
     fn to_json(&self) -> Value {
         obj([
-            ("label", self.label.to_json()),
             ("shards", self.shards.to_json()),
-            ("secs", self.secs.to_json()),
+            ("setup_secs", self.setup_secs.to_json()),
+            ("run_secs", self.run_secs.to_json()),
         ])
     }
 }
@@ -489,9 +490,9 @@ impl ToJson for ShardTiming {
 impl FromJson for ShardTiming {
     fn from_json(value: &Value) -> Option<Self> {
         Some(ShardTiming {
-            label: String::from_json(value.get("label")?)?,
             shards: usize::from_json(value.get("shards")?)?,
-            secs: f64::from_json(value.get("secs")?)?,
+            setup_secs: f64::from_json(value.get("setup_secs")?)?,
+            run_secs: f64::from_json(value.get("run_secs")?)?,
         })
     }
 }
@@ -617,9 +618,9 @@ mod tests {
                 units: 2,
             }],
             shard_scaling: vec![ShardTiming {
-                label: "sharded executor".into(),
                 shards: 2,
-                secs: 0.4,
+                setup_secs: 0.1,
+                run_secs: 0.4,
             }],
         };
         let back = RunTiming::from_json(&json::parse(&t.to_json().to_string_pretty()).unwrap());

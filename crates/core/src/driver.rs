@@ -61,14 +61,6 @@ pub struct PageForgeConfig {
     /// the batch degrades straight to software. `u64::MAX` disables the
     /// threshold (the default: only hard failures degrade).
     pub degrade_error_threshold: u64,
-    /// Use the legacy exhaustive subtree walk when deciding whether a
-    /// Scan Table refill is the last one, instead of the budget-bounded
-    /// early-exit probe. Both compute the same boolean (results are
-    /// byte-identical); the exhaustive walk revisits the whole subtree
-    /// on every refill, which is what made refill cost quadratic in
-    /// tree size. Kept as an A/B knob so the `shard_scaling` experiment
-    /// can measure the executor improvement honestly on one binary.
-    pub exhaustive_refill_probe: bool,
 }
 
 impl Default for PageForgeConfig {
@@ -83,7 +75,6 @@ impl Default for PageForgeConfig {
             max_engine_retries: 3,
             retry_backoff_cycles: 20_000,
             degrade_error_threshold: u64::MAX,
-            exhaustive_refill_probe: false,
         }
     }
 }
@@ -769,11 +760,7 @@ impl PageForge {
 
             // The whole subtree fits in one slice ⇒ no further refill can
             // be needed ⇒ this is the last one: set L so the key completes.
-            let last_refill = if self.cfg.exhaustive_refill_probe {
-                slice.len() == count_subtree(tree, start_node)
-            } else {
-                subtree_fits(tree, start_node, slice.len())
-            };
+            let last_refill = subtree_fits(tree, start_node, slice.len());
 
             // Load the Scan Table straight from the slice. Sibling lookups
             // are linear scans of the slice — at Scan Table sizes (≤ 32
@@ -924,24 +911,9 @@ fn child_index(
     }
 }
 
-/// Legacy exhaustive subtree size (the pre-optimization executor): walks
-/// the whole subtree even when it is obviously larger than one slice.
-/// Only reachable through `exhaustive_refill_probe`.
-fn count_subtree(tree: &PageTree, start: NodeId) -> usize {
-    let mut count = 0;
-    let mut stack = vec![start];
-    while let Some(n) = stack.pop() {
-        count += 1;
-        if let Some(l) = tree.raw().left(n) {
-            stack.push(l);
-        }
-        if let Some(r) = tree.raw().right(n) {
-            stack.push(r);
-        }
-    }
-    count
-}
-
+/// `true` iff the subtree rooted at `start` has exactly `budget` nodes.
+/// Stops walking as soon as the count passes `budget`, so a refill probe
+/// costs at most one slice's worth of nodes however large the tree is.
 fn subtree_fits(tree: &PageTree, start: NodeId, budget: usize) -> bool {
     let mut count = 0usize;
     let mut stack = vec![start];
@@ -1073,32 +1045,53 @@ mod tests {
         mem.check_invariants().unwrap();
     }
 
+    /// Exhaustive subtree size: the oracle for [`subtree_fits`].
+    fn count_subtree(tree: &PageTree, start: NodeId) -> usize {
+        let mut count = 0;
+        let mut stack = vec![start];
+        while let Some(n) = stack.pop() {
+            count += 1;
+            stack.extend(tree.raw().left(n));
+            stack.extend(tree.raw().right(n));
+        }
+        count
+    }
+
     #[test]
-    fn exhaustive_refill_probe_is_byte_identical() {
-        // The legacy exhaustive walk and the early-exit probe must agree
-        // on every refill decision: same stats, same merges, same frames.
-        let run = |exhaustive: bool| {
-            let mut mem = HostMemory::new();
-            let mut hints = Vec::new();
-            for i in 0..120u32 {
-                // Mix of duplicates (i % 40) and crowd: big trees, many
-                // refills, real merges.
-                mem.map_new_page(VmId(0), Gfn(i as u64), page((i % 40) as u8));
-                hints.push((VmId(0), Gfn(i as u64)));
+    fn refill_probe_agrees_with_exhaustive_subtree_count() {
+        // Mix of duplicates (i % 40) and crowd: big trees, many refills,
+        // real merges. Check every node of both trees after every batch
+        // against every Scan-Table-sized budget.
+        let mut mem = HostMemory::new();
+        let mut hints = Vec::new();
+        for i in 0..120u32 {
+            mem.map_new_page(VmId(0), Gfn(i as u64), page((i % 40) as u8));
+            hints.push((VmId(0), Gfn(i as u64)));
+        }
+        let mut pf = PageForge::new(PageForgeConfig::default(), hints);
+        let mut f = fabric();
+        let mut checked = 0usize;
+        for batch in 0..8u64 {
+            pf.scan_batch(&mut mem, &mut f, batch << 30, 120);
+            for tree in [pf.stable_tree(), pf.unstable_tree()] {
+                for (node, _) in tree.raw().iter_ids() {
+                    let size = count_subtree(tree, node);
+                    for budget in 0..=32 {
+                        assert_eq!(
+                            subtree_fits(tree, node, budget),
+                            size == budget,
+                            "node {node:?}: subtree of {size}, budget {budget}"
+                        );
+                    }
+                    checked += 1;
+                }
             }
-            let cfg = PageForgeConfig {
-                exhaustive_refill_probe: exhaustive,
-                ..PageForgeConfig::default()
-            };
-            let mut pf = PageForge::new(cfg, hints);
-            let mut f = fabric();
-            pf.run_to_steady_state(&mut mem, &mut f, 8);
-            (pf.stats().clone(), mem.allocated_frames())
-        };
-        let fast = run(false);
-        let legacy = run(true);
-        assert!(fast.0.refills > 0, "probe must actually be exercised");
-        assert_eq!(fast, legacy);
+        }
+        assert!(pf.stats().refills > 0, "probe must actually be exercised");
+        assert!(
+            checked > 120,
+            "trees must be non-trivial, checked {checked}"
+        );
     }
 
     #[test]
