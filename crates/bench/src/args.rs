@@ -18,33 +18,29 @@ use crate::scheduler::ParallelConfig;
 /// * `--jobs <N>` — worker threads for `run_all`'s experiment scheduler
 ///   (default 1; results are byte-identical at any level);
 /// * `--shards <N>` — worker threads *inside* each full-system
-///   simulation (the sharded executor's pool; default 1). Like `--jobs`,
-///   any value produces byte-identical `results/*.json`;
+///   simulation (default 1). Like `--jobs`, any value produces
+///   byte-identical `results/*.json`;
 /// * `--seeds <N>` — seed replicas for the `seed_sweep` experiment
 ///   (default 1; the sweep itself needs at least 2);
 /// * `--only <a,b,...>` — run only the named experiments (`run_all`);
-/// * `--fleet` — shorthand for `--only fleet`: the multi-host
-///   serverless-churn experiment family (composable with `--only`);
 /// * `--out <dir>` — directory for JSON results (default `results/`);
 /// * `--trace <file>` — write the unit trace streams as JSONL to this
 ///   path (`run_all`; produces events only when built with `--features
 ///   trace`), or read them from it (`trace_report`);
 /// * `--faults <file>` — JSON fault plan applied to the PageForge engine
-///   in the latency suite (`run_all`). A non-empty plan bypasses the
-///   suite cache; an empty plan is a no-op by construction;
+///   in the latency suite (`run_all`). A non-empty plan skips the
+///   latency-suite record; an empty plan is a no-op by construction;
 /// * `--fleet-faults <file>` — JSON fleet fault plan (host crashes, gray
 ///   slowdowns, engine wedges, migration failures) installed on the
-///   `fleet` experiment family's control plane (`run_all`). A non-empty
-///   plan bypasses the suite cache; an empty plan is a no-op by
-///   construction. The `fleet_chaos` campaign generates its own plans
-///   and ignores this flag;
+///   `fleet` experiment family's control plane (`run_all`). An empty
+///   plan is a no-op by construction. The `fleet_chaos` campaign
+///   generates its own plans and ignores this flag;
 /// * `--snapshot <file>` — after the suite, run one KSM, one PageForge,
 ///   and one fleet probe cell at this run's scale/seed/shards and write
 ///   their unioned observability snapshot (metric names prefixed `ksm/`,
 ///   `pageforge/`, `fleet/`) to this path. Snapshots are part of the determinism contract, so CI
 ///   diffs two of these from different `--jobs`/`--shards` levels with
-///   `snapshot_diff --threshold 0`;
-/// * `--print-config` — print the Table 2 configuration and exit.
+///   `snapshot_diff --threshold 0`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     /// RNG seed.
@@ -71,8 +67,6 @@ pub struct BenchArgs {
     pub fleet_faults: Option<PathBuf>,
     /// Unioned probe-cell snapshot path (`run_all`).
     pub snapshot: Option<PathBuf>,
-    /// Print the architecture configuration and exit.
-    pub print_config: bool,
 }
 
 impl Default for BenchArgs {
@@ -90,7 +84,6 @@ impl Default for BenchArgs {
             faults: None,
             fleet_faults: None,
             snapshot: None,
-            print_config: false,
         }
     }
 }
@@ -137,7 +130,6 @@ impl BenchArgs {
                     out.only
                         .extend(v.split(',').filter(|s| !s.is_empty()).map(str::to_owned));
                 }
-                "--fleet" => out.only.push("fleet".to_owned()),
                 "--out" => {
                     out.out_dir = PathBuf::from(iter.next().expect("--out requires a value"));
                 }
@@ -161,14 +153,12 @@ impl BenchArgs {
                         iter.next().expect("--snapshot requires a value"),
                     ));
                 }
-                "--print-config" => out.print_config = true,
                 other => panic!(
                     "unknown argument `{other}`; \
                      usage: [--seed N] [--quick] [--smoke] [--jobs N] \
-                     [--shards N] [--seeds N] [--only a,b] [--fleet] \
+                     [--shards N] [--seeds N] [--only a,b] \
                      [--out DIR] [--trace FILE] [--faults FILE] \
-                     [--fleet-faults FILE] [--snapshot FILE] \
-                     [--print-config]"
+                     [--fleet-faults FILE] [--snapshot FILE]"
                 ),
             }
         }
@@ -261,18 +251,6 @@ mod tests {
         // Smoke wins over quick.
         assert_eq!(a.scale(), Scale::Smoke);
         assert_eq!(a.parallel().jobs, 4);
-    }
-
-    #[test]
-    fn fleet_flag_is_only_sugar() {
-        let a = BenchArgs::from_args(["--fleet".to_string()]);
-        assert_eq!(a.only, vec!["fleet".to_string()]);
-        let b = BenchArgs::from_args(
-            ["--only", "latency", "--fleet"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(b.only, vec!["latency".to_string(), "fleet".to_string()]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The experiment drivers behind each table/figure binary.
+//! The experiment drivers behind every `run_all` experiment.
 //!
 //! Everything here is deterministic given the seed. The functions return
-//! [`Table`]s; the binaries print them and drop JSON copies under
-//! `results/`.
+//! [`Table`]s (or per-unit measurements the suite folds into tables);
+//! `run_all` prints them and drops JSON copies under `results/`.
 
 use pageforge_core::fabric::FlatFabric;
 use pageforge_core::{EngineConfig, PageForge, PageForgeConfig, PowerModel};
@@ -11,7 +11,7 @@ use pageforge_faults::{FaultPlan, FleetFaultPlan};
 use pageforge_fleet::{ControlPlane, FleetConfig, FleetResult};
 use pageforge_ksm::{Ksm, KsmConfig};
 use pageforge_sim::{DedupMode, SimConfig, SimResult, System};
-use pageforge_types::json::{self, FromJson, ToJson, Value};
+use pageforge_types::json::{ToJson, Value};
 use pageforge_types::stats::RunningStats;
 use pageforge_vm::{AppProfile, HostMemory};
 use pageforge_workloads::apps::AppSpec;
@@ -28,10 +28,10 @@ pub const APPS: [&str; 5] = ["img_dnn", "masstree", "moses", "silo", "sphinx"];
 pub const N_VMS: u32 = 10;
 
 /// How much of the evaluation to run. Every experiment is parameterized
-/// by this single knob so `run_all`, the standalone binaries, and CI all
-/// agree on what "quick" and "smoke" mean.
+/// by this single knob so `run_all`, perfbench, and CI all agree on what
+/// "quick" and "smoke" mean.
 ///
-/// The scale feeds the latency-suite cache file name, so results from
+/// The scale feeds the latency-suite record's file name, so records from
 /// different scales never mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -56,7 +56,7 @@ impl Scale {
         }
     }
 
-    /// Short tag used in cache file names.
+    /// Short tag used in result file names.
     pub fn tag(self) -> &'static str {
         match self {
             Scale::Full => "full",
@@ -376,42 +376,11 @@ pub fn suite_modes() -> [DedupMode; 3] {
     ]
 }
 
-/// Runs one (app, mode) cell of the latency suite.
-pub fn run_suite_cell(app: &str, mode: DedupMode, seed: u64, scale: Scale) -> SimResult {
-    run_suite_cell_sharded(app, mode, seed, scale, 1)
-}
-
-/// Runs one cell on the sharded executor with `shards` worker threads
-/// (`--shards`). `shards == 1` is the reference schedule; every level
-/// returns a bit-identical [`SimResult`].
-pub fn run_suite_cell_sharded(
-    app: &str,
-    mode: DedupMode,
-    seed: u64,
-    scale: Scale,
-    shards: usize,
-) -> SimResult {
-    run_suite_cell_tuned(app, mode, seed, scale, shards, None)
-}
-
-/// Runs one cell with a fault plan installed. Only PageForge cells have an
-/// engine to fault; Baseline/KSM cells run exactly as [`run_suite_cell`].
-pub fn run_suite_cell_faulted(
-    app: &str,
-    mode: DedupMode,
-    seed: u64,
-    scale: Scale,
-    shards: usize,
-    plan: &FaultPlan,
-) -> SimResult {
-    run_suite_cell_tuned(app, mode, seed, scale, shards, Some(plan))
-}
-
-/// The cell runner behind every latency-suite entry point: shard count
-/// and an optional fault plan. The shard count never moves a result
-/// byte — only the fault plan changes outcomes, and only for PageForge
-/// cells (the others have no engine to fault).
-pub fn run_suite_cell_tuned(
+/// Runs one (app, mode) cell of the latency suite on `shards` worker
+/// threads, with an optional fault plan. The shard count never moves a
+/// result byte; only the fault plan changes outcomes, and only for
+/// PageForge cells (the others have no engine to fault).
+pub fn run_suite_cell(
     app: &str,
     mode: DedupMode,
     seed: u64,
@@ -429,56 +398,22 @@ pub fn run_suite_cell_tuned(
 /// Runs Baseline/KSM/PageForge for one app. The triple shares the seed so
 /// arrival processes and memory images are identical across modes.
 pub fn run_triple(app: &str, seed: u64, scale: Scale) -> [SimResult; 3] {
-    suite_modes().map(|mode| run_suite_cell(app, mode, seed, scale))
+    suite_modes().map(|mode| run_suite_cell(app, mode, seed, scale, 1, None))
 }
 
-/// Runs the whole 5-app × 3-config latency suite.
-pub fn run_latency_suite(seed: u64, scale: Scale) -> Vec<[SimResult; 3]> {
-    APPS.iter()
-        .map(|app| run_triple(app, seed, scale))
-        .collect()
-}
-
-/// Cache-file path for the latency suite at one (seed, scale).
-pub fn suite_cache_path(out_dir: &std::path::Path, seed: u64, scale: Scale) -> std::path::PathBuf {
-    out_dir.join(format!("latency_suite_{seed:#x}_{}.json", scale.tag()))
-}
-
-/// Like [`run_latency_suite`], but cached on disk: Figures 9–11 and
-/// Table 4 all read the same 15 simulations, so the first binary to run
-/// pays for them and the rest reuse the JSON
-/// (`<out_dir>/latency_suite_<seed>_<scale>.json`). Delete the file to
-/// force a re-run.
-pub fn run_latency_suite_cached(
+/// Writes `<out_dir>/latency_suite_<seed>_<scale>.json`: the 15
+/// simulations of one fault-free latency suite, as a record next to the
+/// tables. Nothing reads it back (best-effort; failures are warnings).
+pub fn write_suite_cache(
+    out_dir: &std::path::Path,
     seed: u64,
     scale: Scale,
-    out_dir: &std::path::Path,
-) -> Vec<[SimResult; 3]> {
-    let path = suite_cache_path(out_dir, seed, scale);
-    if let Some(suite) = read_suite_cache(&path) {
-        eprintln!("(reusing cached simulations from {})", path.display());
-        return suite;
-    }
-    let suite = run_latency_suite(seed, scale);
-    write_suite_cache(&path, out_dir, &suite);
-    suite
-}
-
-/// Reads a latency-suite cache file, if present and well-formed.
-pub fn read_suite_cache(path: &std::path::Path) -> Option<Vec<[SimResult; 3]>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    Vec::from_json(&json::parse(&text).ok()?)
-}
-
-/// Writes the latency-suite cache (best-effort; failures are warnings).
-pub fn write_suite_cache(
-    path: &std::path::Path,
-    out_dir: &std::path::Path,
     suite: &[[SimResult; 3]],
 ) {
+    let path = out_dir.join(format!("latency_suite_{seed:#x}_{}.json", scale.tag()));
     let body = Value::Arr(suite.iter().map(ToJson::to_json).collect()).to_string_compact();
-    if let Err(e) = std::fs::create_dir_all(out_dir).and_then(|_| std::fs::write(path, body)) {
-        eprintln!("warning: could not cache simulations: {e}");
+    if let Err(e) = std::fs::create_dir_all(out_dir).and_then(|_| std::fs::write(&path, body)) {
+        eprintln!("warning: could not write {}: {e}", path.display());
     }
 }
 
@@ -1012,17 +947,6 @@ pub fn table5_profile(profile: &AppProfile, seed: u64, n_vms: u32) -> RunningSta
         }
     }
     pf.engine_stats().run_cycles
-}
-
-/// Table 5: PageForge design characteristics — Scan-Table processing-time
-/// distribution measured per application, plus the area/power model.
-pub fn table5(seed: u64, scale: Scale) -> Table {
-    let all_means: Vec<(String, RunningStats)> =
-        AppProfile::tailbench_suite_scaled(scale.pages_per_vm())
-            .iter()
-            .map(|p| (p.name.clone(), table5_profile(p, seed, scale.n_vms())))
-            .collect();
-    table5_from(&all_means)
 }
 
 /// Assembles Table 5 from the per-profile cycle distributions.

@@ -142,20 +142,6 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
         None => None,
     };
 
-    // The latency suite is cached on disk across binaries; when the cache
-    // is valid there is nothing to schedule for it. Faulted runs bypass
-    // the cache entirely — reading it would mask the faults, and writing
-    // it would poison later fault-free runs.
-    let cache_path = experiments::suite_cache_path(&args.out_dir, seed, scale);
-    let cached_suite = if want("latency") && fault_plan.is_none() {
-        experiments::read_suite_cache(&cache_path)
-    } else {
-        None
-    };
-    if cached_suite.is_some() {
-        eprintln!("(reusing cached simulations from {})", cache_path.display());
-    }
-
     // Build the unit list, heaviest experiments first so the pool stays
     // busy. Assembly below keys on the experiment name, not position.
     let shards = args.shards;
@@ -169,13 +155,13 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
             UnitOutput::ShardScaling(table, rows)
         }));
     }
-    if want("latency") && cached_suite.is_none() {
+    if want("latency") {
         for app in experiments::APPS {
             for mode in experiments::suite_modes() {
                 let label = format!("latency/{app}/{}", mode.label());
                 let plan = fault_plan.clone();
                 units.push(Unit::new("latency", label, move || {
-                    UnitOutput::Sim(Box::new(experiments::run_suite_cell_tuned(
+                    UnitOutput::Sim(Box::new(experiments::run_suite_cell(
                         app,
                         mode,
                         seed,
@@ -393,25 +379,19 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
         );
     }
     if want("latency") {
-        // Fresh sims arrive flat in (app-major, mode-minor) order; fold
-        // them back into per-app triples.
-        let mut suite: Vec<[SimResult; 3]> = match cached_suite {
-            Some(s) => s,
-            None => {
-                let mut suite = Vec::new();
-                let mut it = sims.into_iter();
-                while let (Some(a), Some(b), Some(c)) = (it.next(), it.next(), it.next()) {
-                    suite.push([a, b, c]);
-                }
-                // Cache before figure10 sorts the recorders, so the file's
-                // bytes never depend on which figures were generated.
-                // Faulted results never enter the cache.
-                if fault_plan.is_none() {
-                    experiments::write_suite_cache(&cache_path, &args.out_dir, &suite);
-                }
-                suite
-            }
-        };
+        // Sims arrive flat in (app-major, mode-minor) order; fold them
+        // back into per-app triples.
+        let mut suite: Vec<[SimResult; 3]> = Vec::new();
+        let mut it = sims.into_iter();
+        while let (Some(a), Some(b), Some(c)) = (it.next(), it.next(), it.next()) {
+            suite.push([a, b, c]);
+        }
+        // Record before figure10 sorts the recorders, so the file's bytes
+        // never depend on which figures were generated. A faulted run
+        // writes no record: the file holds the fault-free simulations.
+        if fault_plan.is_none() {
+            experiments::write_suite_cache(&args.out_dir, seed, scale, &suite);
+        }
         push(
             &mut tables,
             "table4_ksm_characterization",
@@ -487,20 +467,13 @@ pub fn run_suite(args: &BenchArgs) -> Result<SuiteOutcome, SchedulerError> {
 
 /// Times a full `pageforge-analyzer` pass over the workspace and returns
 /// it as a timing row, so `perf_budget.toml` covers the CI analysis gate
-/// alongside the experiments. Runs only when the workspace root
-/// (`Cargo.toml` + `crates/`) is discoverable above the current
-/// directory — out-of-tree invocations skip the row rather than fail.
-/// The analyzer reads sources and `analyzer.toml` only; nothing here
-/// touches `results/*.json`.
+/// alongside the experiments. The workspace is the one this crate was
+/// built from, wherever `run_all` is started; if its sources are gone
+/// the row is skipped rather than the run failed. The analyzer reads
+/// sources and `analyzer.toml` only; nothing here touches
+/// `results/*.json`.
 fn time_analyzer_pass() -> Option<ExperimentTiming> {
-    let start = std::env::current_dir().ok()?;
-    let mut dir = start.as_path();
-    let root = loop {
-        if dir.join("Cargo.toml").is_file() && dir.join("crates").is_dir() {
-            break dir.to_path_buf();
-        }
-        dir = dir.parent()?;
-    };
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let started = std::time::Instant::now();
     pageforge_analyzer::analyze_workspace(&root).ok()?;
     Some(ExperimentTiming {

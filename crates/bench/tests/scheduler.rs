@@ -1,11 +1,12 @@
 //! Integration tests for the parallel experiment scheduler: the suite's
-//! emitted JSON must be byte-identical regardless of `--jobs`, and worker
-//! panics must surface as errors through the public API.
+//! emitted JSON must be byte-identical regardless of `--jobs`, worker
+//! panics must surface as errors through the public API, and `run_all`
+//! records its timing rows wherever it is started from.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use pageforge_bench::scheduler::{run_units, Unit};
+use pageforge_bench::scheduler::{run_units, RunTiming, Unit};
 use pageforge_bench::suite;
 use pageforge_bench::BenchArgs;
 
@@ -97,4 +98,27 @@ fn worker_panic_propagates_as_error() {
         "got: {}",
         err.message
     );
+}
+
+/// `run_all` started outside the checkout still times the analyzer pass,
+/// so `timing_gate` finds the `analyzer` row its budget names.
+#[test]
+fn run_all_outside_the_checkout_records_the_analyzer_row() {
+    let cwd = fresh_dir("outside-checkout");
+    let out = cwd.join("out");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .current_dir(&cwd)
+        .args(["--smoke", "--only", "table3", "--out"])
+        .arg(&out)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("spawn run_all");
+    assert!(status.success(), "run_all exited with {status}");
+    let timing = RunTiming::read(&out).expect("meta/timing.json is written");
+    let names: Vec<&str> = timing.experiments.iter().map(|e| e.name.as_str()).collect();
+    assert!(
+        names.contains(&"analyzer"),
+        "timing rows lack `analyzer`: {names:?}"
+    );
+    let _ = fs::remove_dir_all(&cwd);
 }

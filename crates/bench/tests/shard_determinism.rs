@@ -1,7 +1,7 @@
-//! The sharded executor's byte-identity contract, end to end.
+//! The `--shards` byte-identity contract, end to end.
 //!
 //! `--shards N` may only change wall-clock, never bytes: every
-//! `results/*.json` artifact (tables *and* the latency-suite cache) and
+//! `results/*.json` artifact (tables *and* the latency-suite record) and
 //! every observability snapshot must be identical at any worker count —
 //! including under an active fault plan, whose engine perturbations must
 //! land on the same cycles regardless of which thread simulates them.
@@ -70,11 +70,11 @@ fn results_are_byte_identical_across_shard_levels() {
     let one = run_latency(1, None, "s1");
     assert!(
         one.keys().any(|n| n.starts_with("latency_suite_")),
-        "suite cache is part of the compared artifact set"
+        "the latency-suite record is part of the compared artifact set"
     );
     assert!(
         one.len() >= 4,
-        "tables + cache expected, got {:?}",
+        "tables + record expected, got {:?}",
         one.keys()
     );
     let two = run_latency(2, None, "s2");
@@ -180,7 +180,7 @@ fn digest_cache_off_is_byte_identical_under_a_fault_plan() {
             DedupMode::PageForge(SimConfig::scaled_pageforge()),
         ];
         modes.map(|mode| {
-            experiments::run_suite_cell_faulted("masstree", mode, 11, scale, shards, &plan)
+            experiments::run_suite_cell("masstree", mode, 11, scale, shards, Some(&plan))
                 .to_json()
                 .to_string_compact()
         })

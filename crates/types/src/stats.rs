@@ -5,7 +5,7 @@
 //! [`RunningStats`] provides streaming mean/stddev; [`LatencyRecorder`]
 //! stores samples so exact percentiles can be extracted.
 
-use crate::json::{obj, FromJson, ToJson, Value};
+use crate::json::{obj, ToJson, Value};
 
 /// Streaming mean / variance accumulator (Welford's algorithm).
 ///
@@ -127,24 +127,6 @@ impl ToJson for RunningStats {
     }
 }
 
-impl FromJson for RunningStats {
-    fn from_json(value: &Value) -> Option<Self> {
-        let count = u64::from_json(value.get("count")?)?;
-        if count == 0 {
-            // min/max were ±∞ and serialized as null; rebuild the empty
-            // accumulator exactly.
-            return Some(RunningStats::new());
-        }
-        Some(RunningStats {
-            count,
-            mean: f64::from_json(value.get("mean")?)?,
-            m2: f64::from_json(value.get("m2")?)?,
-            min: f64::from_json(value.get("min")?)?,
-            max: f64::from_json(value.get("max")?)?,
-        })
-    }
-}
-
 /// Stores latency samples and extracts exact percentiles.
 ///
 /// ```
@@ -229,19 +211,6 @@ impl ToJson for LatencyRecorder {
             ("stats", self.stats.to_json()),
             ("sorted", self.sorted.to_json()),
         ])
-    }
-}
-
-impl FromJson for LatencyRecorder {
-    fn from_json(value: &Value) -> Option<Self> {
-        // Restore the streaming stats verbatim rather than re-recording
-        // the samples: bit-exact round-trips keep cached simulation
-        // results byte-identical to freshly computed ones.
-        Some(LatencyRecorder {
-            samples: Vec::<f64>::from_json(value.get("samples")?)?,
-            stats: RunningStats::from_json(value.get("stats")?)?,
-            sorted: bool::from_json(value.get("sorted")?)?,
-        })
     }
 }
 

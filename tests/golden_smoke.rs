@@ -5,7 +5,7 @@
 //! what the simulator computes would pass them silently. This test runs
 //! the whole suite at `--smoke --jobs 2`, exactly as `run_all` does, and
 //! compares the FNV-1a-64 digest of every `*.json` it writes — the tables
-//! and the latency-suite cache — with `tests/golden/smoke_digests.txt`.
+//! and the latency-suite record — with `tests/golden/smoke_digests.txt`.
 //!
 //! An intended change to results re-records the changed lines in the same
 //! commit and says why in CHANGES.md. On mismatch the failure message
@@ -35,6 +35,9 @@ fn smoke_digests() -> BTreeMap<String, u64> {
         std::env::temp_dir().join(format!("pageforge-golden-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out_dir);
     std::fs::create_dir_all(&out_dir).unwrap();
+    // A well-formed but wrong latency-suite record, as a stale run would
+    // leave behind: the suite must simulate afresh and overwrite it.
+    std::fs::write(out_dir.join("latency_suite_0xc0ffee_smoke.json"), "[]").unwrap();
     let args = BenchArgs {
         smoke: true,
         jobs: 2,
@@ -87,7 +90,7 @@ fn smoke_results_match_committed_digests() {
     let actual = smoke_digests();
     assert!(
         actual.keys().any(|n| n.starts_with("latency_suite_")),
-        "the latency-suite cache is part of the pinned artifact set"
+        "the latency-suite record is part of the pinned artifact set"
     );
     let drift: Vec<String> = expected
         .keys()
